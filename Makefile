@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # the gate baseline, whatever their date sorts to.
 BENCH_BASELINE ?= $(lastword $(sort $(filter-out %-mc.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test test-race fuzz-short fuzz-race bench bench-quick bench-mc bench-compare perf-gate obs-check lint lint-json check
+.PHONY: build test test-race fuzz-short fuzz-race bench bench-quick bench-mc bench-compare perf-gate bench-e2e obs-check lint lint-json check
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,19 @@ perf-gate:
 	@test -n "$(BENCH_BASELINE)" || { echo "perf-gate: no committed BENCH_*.json baseline"; exit 1; }
 	$(GO) run ./cmd/benchjson -bench 'Observe|PipelineThroughput|WireThroughput' -benchtime 0.5s -samples 3 -gate $(BENCH_BASELINE)
 	-$(MAKE) bench-mc
+
+# End-to-end repository benchmark (BENCHMARK.json): the three workloads,
+# untraced, each built from this checkout by perfbench/run.sh and run for
+# $(SECONDS) s on inputs generated from $(SEED). Every run prints one JSON
+# line (correct, attempted, failed, metrics); a failed output check stops
+# the target. Add --trace 1 by hand for the per-layer ledger.
+SEED ?= 1
+SECONDS ?= 30
+bench-e2e:
+	@for w in steady-block wire-block gappy-scalar; do \
+		echo "bench-e2e: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
+	done
 
 # End-to-end observability acceptance: build cmd/streampca, run an
 # instrumented pipeline with -obs, and validate the JSON snapshot, Prometheus

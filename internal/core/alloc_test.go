@@ -62,3 +62,34 @@ func TestLocationObserveZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state location Observe allocated %v times per run", allocs)
 	}
 }
+
+// TestObserveMaskedZeroAllocsSteadyState asserts a ready engine absorbs a
+// gappy row without allocating: the least-squares patch runs in the
+// workspace's patch scratch and the patched row feeds the update directly.
+func TestObserveMaskedZeroAllocsSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 3))
+	const d = 80
+	m := newModel(rng, d, 3, []float64{9, 4, 1}, 0.05)
+	en, err := NewEngine(Config{Dim: d, Components: 3, Extra: 2, Alpha: 1 - 1.0/500, ReorthEvery: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := m.samples(256)
+	for i := 0; !en.Ready(); i++ {
+		if _, err := en.Observe(xs[i%len(xs)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	masks := make([][]bool, 16)
+	for j := range masks {
+		masks[j] = randomMask(rng, d, 0.4)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		en.ObserveMasked(xs[i%len(xs)], masks[i%len(masks)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ObserveMasked allocated %v times per run", allocs)
+	}
+}

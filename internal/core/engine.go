@@ -104,12 +104,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	k := cfg.Components + cfg.Extra
-	blockC := cfg.BlockSize
-	if blockC <= 0 {
-		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
-	}
-	pool := mat.NewPool(cfg.Workers)
-	pool.Reserve(k + blockC)
+	pool, blockC := newKernelPool(cfg, k)
 	return &Engine{
 		cfg:    cfg,
 		k:      k,
@@ -118,6 +113,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 		pool:   pool,
 		blockC: blockC,
 	}, nil
+}
+
+// newKernelPool builds the engine's kernel worker pool for k components and
+// returns it with the rank-c chunk width (Config.BlockSize, or the
+// mat.BlockSize cost-model pick). The pool's scratch covers both basis
+// kernels: k+blockC floats for BasisUpdate, 2k for the row-paired
+// BasisUpdateVec.
+func newKernelPool(cfg Config, k int) (*mat.Pool, int) {
+	blockC := cfg.BlockSize
+	if blockC <= 0 {
+		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
+	}
+	pool := mat.NewPool(cfg.Workers)
+	pool.Reserve(max(k+blockC, 2*k))
+	return pool, blockC
 }
 
 // Close parks the engine permanently: it releases the kernel worker pool's

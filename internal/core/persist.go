@@ -176,12 +176,7 @@ func ResumeEngine(cfg Config, es *Eigensystem) (*Engine, error) {
 	if !es.checkFinite() {
 		return nil, errors.New("core: refusing to resume from non-finite eigensystem")
 	}
-	blockC := cfg.BlockSize
-	if blockC <= 0 {
-		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
-	}
-	pool := mat.NewPool(cfg.Workers)
-	pool.Reserve(k + blockC)
+	pool, blockC := newKernelPool(cfg, k)
 	en := &Engine{
 		cfg:    cfg,
 		k:      k,

@@ -31,12 +31,11 @@ type workspace struct {
 	// map of the fast path (see rebuildEigensystem). mt holds the TRANSPOSED
 	// map Mᵀ the rank-one route's fused basis kernel dots rows against; the
 	// rank-c route builds its map in natural orientation (mMat below).
-	gram   *mat.Dense // (k+1)×(k+1) AᵀA, built analytically
-	sym    *eig.SymEigWorkspace
-	mt     *mat.Dense // k×k transposed update map Mᵀ
-	yw     []float64  // per-column y coefficients of the update (length k)
-	invs   []float64  // inverse singular values (length k)
-	rowTmp []float64  // one basis row, copied before overwrite (length k)
+	gram *mat.Dense // (k+1)×(k+1) AᵀA, built analytically
+	sym  *eig.SymEigWorkspace
+	mt   *mat.Dense // k×k transposed update map Mᵀ
+	yw   []float64  // per-column y coefficients of the update (length k)
+	invs []float64  // inverse singular values (length k)
 
 	// cpPart holds the fused center/project pass's panel-partial sums:
 	// mat.CenterProjectPanels(d) panels × (k+1) accumulators. The panel
@@ -51,6 +50,10 @@ type workspace struct {
 
 	orth *eig.OrthoWorkspace
 	med  []float64 // rescue-median sort scratch (capacity rejectedCap)
+
+	// patch is the gap-patch scratch of the steady-state ObserveMasked; its
+	// patched row is the x the following update reads.
+	patch *patchScratch
 
 	// block-update scratch (ObserveBlock), sized by the engine's chunk
 	// width blockC: the chunk's centered rows and projections, the rank-c
@@ -84,12 +87,12 @@ func newWorkspace(d, k, blockC int) *workspace {
 		mt:     mat.NewDense(k, k),
 		yw:     make([]float64, k),
 		invs:   make([]float64, k),
-		rowTmp: make([]float64, k),
 		cpPart: make([]float64, mat.CenterProjectPanels(d)*(k+1)),
 		aMat:   mat.NewDense(d, k+1),
 		svd:    eig.NewThinSVDWorkspace(d, k+1),
 		orth:   eig.NewOrthoWorkspace(d),
 		med:    make([]float64, rejectedCap),
+		patch:  newPatchScratch(d, k),
 
 		yMat:   mat.NewDense(blockC, d),
 		coefs:  mat.NewDense(blockC, k),

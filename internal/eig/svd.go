@@ -102,9 +102,9 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 		} else {
 			g = mat.Gram(g, a)
 		}
-		// The Gram matrix is (p+1)×(p+1) on the streaming path — small
-		// enough that the allocation-free Jacobi beats the tridiagonal
-		// route SymEig would pick.
+		// The workspace route is the engine's explicit-SVD reference
+		// rebuild; it keeps the Jacobi solver of the structured rank-one
+		// rebuild it is checked against.
 		lam, v, ok = JacobiSym(g, ws.sym)
 	} else {
 		s = make([]float64, c)

@@ -8,9 +8,9 @@ import (
 
 // Symmetric eigensolver via Householder tridiagonalization followed by the
 // implicit QL algorithm with Wilkinson shifts — the classic EISPACK
-// tred2/tql2 pair. For matrices beyond a few dozen rows it is roughly an
-// order of magnitude faster than cyclic Jacobi while achieving comparable
-// accuracy; SymEig dispatches here automatically for larger inputs.
+// tred2/tql2 pair. It beats cyclic Jacobi at every size from n = 2 (by 4–5×
+// beyond n ≈ 12) with comparable accuracy; SymEig dispatches here from
+// symEigTridiagMin up.
 
 // symEigTridiag computes the full eigendecomposition of the symmetric
 // matrix a (upper triangle read), returning descending eigenvalues and the
@@ -41,9 +41,8 @@ func symEigTridiag(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
 // TridiagSym is the workspace-accepting variant of the tridiagonal route: it
 // computes the eigendecomposition of the symmetric matrix a (upper triangle
 // read, a unmodified) entirely inside ws with zero heap allocations, running
-// tred2/tql2 instead of cyclic Jacobi. The crossover favors it well below
-// SymEig's dispatch threshold — already around n ≈ 12 the QL iteration beats
-// Jacobi's sweep cost, which is why the block-incremental engine update uses
+// tred2/tql2 instead of cyclic Jacobi — faster from n = 2 up (see
+// symEigTridiagMin), which is why the block-incremental engine update uses
 // it for its (k+c)-sized Gram systems. The returned matrix is workspace-owned
 // and valid until the next call; on the (essentially unreachable for finite
 // input) QL convergence failure it falls back to JacobiSym on the same

@@ -18,12 +18,7 @@ func TestTridiagMatchesJacobi(t *testing.T) {
 			t.Fatalf("n=%d: tridiag did not converge", n)
 		}
 		// Eigenvalues must match Jacobi's to high accuracy.
-		jv, _, jok := func() ([]float64, *mat.Dense, bool) {
-			// force the Jacobi path by calling on a small copy via SymEig
-			// for n<=32, else compute Jacobi-style reference from
-			// reconstruction checks below.
-			return SymEig(a)
-		}()
+		jv, _, jok := symEigJacobi(a)
 		if !jok {
 			t.Fatalf("n=%d: reference did not converge", n)
 		}

@@ -174,6 +174,7 @@ type BinaryStream struct {
 	r    io.Reader
 	dim  int
 	line int
+	rec  []byte // one record's raw bytes, reused by every Next
 }
 
 // NewBinaryStream wraps r as a binary observation stream of the given
@@ -182,14 +183,16 @@ func NewBinaryStream(r io.Reader, dim int) *BinaryStream {
 	if dim <= 0 {
 		panic("ingest: BinaryStream dim must be positive")
 	}
-	return &BinaryStream{r: bufio.NewReader(r), dim: dim}
+	return &BinaryStream{r: bufio.NewReader(r), dim: dim, rec: make([]byte, 8*dim)}
 }
 
-// Next implements Stream.
+// Next implements Stream. It reads the record into the stream's reused
+// byte buffer and decodes it and its mask in one pass; the returned vector
+// and mask are fresh. The error is io.EOF when the stream ends on a record
+// boundary and a RecordError when it ends inside a record.
 func (b *BinaryStream) Next() ([]float64, []bool, error) {
 	b.line++
-	vec := make([]float64, b.dim)
-	if err := binary.Read(b.r, binary.LittleEndian, vec); err != nil {
+	if _, err := io.ReadFull(b.r, b.rec); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, nil, io.EOF
 		}
@@ -198,8 +201,12 @@ func (b *BinaryStream) Next() ([]float64, []bool, error) {
 		}
 		return nil, nil, err
 	}
+	vec := make([]float64, b.dim)
 	var mask []bool
-	for i, v := range vec {
+	rec := b.rec[:8*len(vec)]
+	for i := range vec {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:]))
+		vec[i] = v
 		if math.IsNaN(v) {
 			if mask == nil {
 				mask = fullMask(b.dim)

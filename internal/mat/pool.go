@@ -111,9 +111,9 @@ func (p *Pool) SetMinWork(w int) {
 }
 
 // Reserve grows every participant's private scratch buffer to at least n
-// floats. Kernel methods that need scratch (BasisUpdate, BasisUpdateVec)
-// require a prior Reserve; sizing up front is what keeps the dispatch itself
-// allocation-free.
+// floats. Kernel methods that need scratch (BasisUpdate: k+r floats,
+// BasisUpdateVec: 2k) require a prior Reserve; sizing up front is what keeps
+// the dispatch itself allocation-free.
 func (p *Pool) Reserve(n int) {
 	if p == nil {
 		return
@@ -325,7 +325,8 @@ func (p *Pool) BasisUpdate(vecs, mt, y, w *Dense, r int) {
 // BasisUpdateVec is the rank-one specialization of BasisUpdate: the update
 // panel is a single centered vector y with per-column coefficients yw
 // (E ← E·M + y·ywᵀ). The per-row arithmetic matches the rank-one engine
-// rebuild exactly. Requires Reserve(k) scratch.
+// rebuild exactly. Requires Reserve(2k) scratch: the kernel updates basis
+// rows in pairs.
 //
 //streampca:noalloc
 func (p *Pool) BasisUpdateVec(vecs, mt *Dense, y, yw []float64) {
@@ -343,7 +344,7 @@ func (p *Pool) BasisUpdateVec(vecs, mt *Dense, y, yw []float64) {
 		if p != nil && len(p.scratch) > 0 {
 			scratch = p.scratch[0]
 		}
-		if len(scratch) < k {
+		if len(scratch) < 2*k {
 			panic("mat: Pool.BasisUpdateVec scratch not reserved")
 		}
 		basisUpdateVecSpan(vecs, mt, y, yw, 0, d, scratch)

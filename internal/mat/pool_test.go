@@ -51,7 +51,7 @@ func TestPoolKernelsForcedParallelism(t *testing.T) {
 		// Serial references from a nil pool (plus explicitly reserved scratch
 		// via a 1-participant pool for the scratch-needing kernels).
 		ser := NewPool(1)
-		ser.Reserve(k + r)
+		ser.Reserve(max(k+r, 2*k))
 		wantMul := ser.Mul(nil, y, vecs) // r×d · d×k
 		wantAdd := randDense(rng, d, k)
 		addInit := wantAdd.Clone()
@@ -66,7 +66,7 @@ func TestPoolKernelsForcedParallelism(t *testing.T) {
 		wantCoef := make([]float64, k)
 		wantNy2 := ser.CenterProject(wantY, wantCoef, x, mean, vecs, part)
 
-		poolForcedAll(t, k+r, func(t *testing.T, p *Pool) {
+		poolForcedAll(t, max(k+r, 2*k), func(t *testing.T, p *Pool) {
 			if got := p.Mul(nil, y, vecs); !bitwiseEqual(got, wantMul) {
 				t.Fatalf("nw=%d d=%d: Pool.Mul differs from serial", p.Workers(), d)
 			}

@@ -69,6 +69,17 @@ type SyncAblationResult struct {
 	Rows []SyncAblationRow
 }
 
+// The sync ablation's source is paced at paceRate tuples per second. The
+// regimes differ in how many wall-clock sync ticks fall within the stream;
+// a fixed pace fixes the ticks per tuple, so the outcome does not swing
+// with how fast the host or the kernels run. The source checks its
+// schedule every pacePeriod tuples, since sleeping per tuple would be finer
+// than the timer's resolution.
+const (
+	paceRate   = 50000
+	pacePeriod = 64
+)
+
 // RunSyncAblation executes each regime on an identically seeded stream.
 func RunSyncAblation(cfg SyncAblationConfig) (*SyncAblationResult, error) {
 	cfg.defaults()
@@ -93,9 +104,15 @@ func RunSyncAblation(cfg SyncAblationConfig) (*SyncAblationResult, error) {
 			return nil, err
 		}
 		var i int64
+		var start time.Time
 		src := func() ([]float64, []bool, bool) {
 			if i >= cfg.N {
 				return nil, nil, false
+			}
+			if i == 0 {
+				start = time.Now()
+			} else if i%pacePeriod == 0 {
+				time.Sleep(time.Until(start.Add(time.Duration(i) * time.Second / paceRate)))
 			}
 			i++
 			x, _ := gen.Next()

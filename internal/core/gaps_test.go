@@ -227,6 +227,19 @@ func TestFillWithBinMeansFallsBackToZero(t *testing.T) {
 	}
 }
 
+// solveSPD is the allocating form of solveSPDInto for a Dense G.
+func solveSPD(g *mat.Dense, b []float64) ([]float64, error) {
+	k := g.Rows()
+	if k == 0 {
+		return nil, nil
+	}
+	x := make([]float64, k)
+	if !solveSPDInto(x, g.Data(), b, make([]float64, k*k), make([]float64, k)) {
+		return nil, errCholesky
+	}
+	return x, nil
+}
+
 func TestSolveSPD(t *testing.T) {
 	g := mat.NewDenseData(2, 2, []float64{4, 1, 1, 3})
 	x, err := solveSPD(g, []float64{1, 2})

@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # the gate baseline, whatever their date sorts to.
 BENCH_BASELINE ?= $(lastword $(sort $(filter-out %-mc.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test test-race fuzz-short fuzz-race bench bench-quick bench-mc bench-compare perf-gate bench-e2e obs-check lint lint-json check
+.PHONY: build test test-perfbench test-race fuzz-short fuzz-race bench bench-quick bench-mc bench-compare perf-gate bench-e2e obs-check lint lint-json check
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,17 @@ test-wire:
 fuzz-race:
 	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/fault ./internal/wire
 
+# The benchmark harness is its own module (perfbench/go.mod), so `go test
+# ./...` at the root never reaches its tests — among them the check that
+# BENCHMARK.json matches the harness's workload and metric tables.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
+
 # The one-stop pre-commit target: every static gate plus the full test suite,
 # the race-enabled wire/transport suite, the race-mode fuzz-corpus replay,
-# and the machine-readable diagnostics artifact ($(STREAMVET_JSON)).
-check: lint test test-wire fuzz-race lint-json
+# the benchmark harness's own tests, and the machine-readable diagnostics
+# artifact ($(STREAMVET_JSON)).
+check: lint test test-wire fuzz-race test-perfbench lint-json
 
 # Tier 2: the same suite under the race detector (the chaos tests exercise
 # panic recovery, revive, and the failure supervisor concurrently), with the

@@ -117,16 +117,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // newKernelPool builds the engine's kernel worker pool for k components and
 // returns it with the rank-c chunk width (Config.BlockSize, or the
-// mat.BlockSize cost-model pick). The pool's scratch covers both basis
-// kernels: k+blockC floats for BasisUpdate, 2k for the row-paired
-// BasisUpdateVec.
+// mat.BlockSize cost-model pick). The pool's scratch is the 2k floats of
+// the row-paired BasisUpdateVec.
 func newKernelPool(cfg Config, k int) (*mat.Pool, int) {
 	blockC := cfg.BlockSize
 	if blockC <= 0 {
 		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
 	}
 	pool := mat.NewPool(cfg.Workers)
-	pool.Reserve(max(k+blockC, 2*k))
+	pool.Reserve(2 * k)
 	return pool, blockC
 }
 

@@ -72,47 +72,13 @@ func centerProjectSpan(y, x, mean []float64, vecs *Dense, part []float64, p0, p1
 	}
 }
 
-// basisUpdateSpan applies rows [lo, hi) of the fused in-place rank-c basis
-// update E ← E·M + Yᵀ·W: per basis row i, the old row is copied into
-// scratch, the r panel values Y[m][i] are gathered, and each new entry is
-// one Dot against Mᵀ's row plus the ordered rank-c correction. The per-
-// element reduction order (k-dot first, then m = 0..r−1) is fixed, so the
-// result is bitwise partition-independent. scratch needs k+r floats.
-//
-//streampca:noalloc
-func basisUpdateSpan(vecs, mt, y, w *Dense, r, lo, hi int, scratch []float64) {
-	k := vecs.cols
-	dy := y.cols
-	wn := w.cols
-	vd := vecs.data
-	mtd := mt.data
-	yd := y.data
-	wd := w.data
-	row := scratch[:k]
-	ya := scratch[k : k+r]
-	for i := lo; i < hi; i++ {
-		vrow := vd[i*k : i*k+k]
-		copy(row, vrow)
-		for m := 0; m < r; m++ {
-			ya[m] = yd[m*dy+i]
-		}
-		for j := range vrow {
-			acc := Dot(row, mtd[j*k:j*k+k])
-			for m := 0; m < r; m++ {
-				acc += ya[m] * wd[m*wn+j]
-			}
-			vrow[j] = acc
-		}
-	}
-}
-
 // basisUpdateVecSpan is the rank-one body: rows [lo, hi) of
 // E ← E·M + y·ywᵀ. Each new entry is the k-long dot of the old basis row
 // with Mᵀ's row j, plus yᵢ·yw[j]. The dot is inlined and keeps Dot's exact
 // per-element order — four partial sums over l ≡ 0..3 (mod 4), the tail
 // folded into the first, combined as (s0+s1)+(s2+s3) — so the result is
-// bitwise identical to basisUpdateSpan with r = 1 and to a Dot call per
-// entry (TestBasisUpdateVecMatchesDotOracle). Rows are consumed in pairs:
+// bitwise identical to a Dot call per entry
+// (TestBasisUpdateVecMatchesDotOracle). Rows are consumed in pairs:
 // each pass over Mᵀ's row j feeds both rows' dots, halving the Mᵀ traffic
 // and the per-entry loop overhead. scratch needs 2k floats (the two old
 // rows).

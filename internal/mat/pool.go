@@ -21,7 +21,6 @@ const (
 	kMul kernelKind = iota
 	kAddMulTA
 	kSyrk
-	kBasis
 	kBasisVec
 	kCenter
 )
@@ -111,9 +110,9 @@ func (p *Pool) SetMinWork(w int) {
 }
 
 // Reserve grows every participant's private scratch buffer to at least n
-// floats. Kernel methods that need scratch (BasisUpdate: k+r floats,
-// BasisUpdateVec: 2k) require a prior Reserve; sizing up front is what keeps
-// the dispatch itself allocation-free.
+// floats. Kernel methods that need scratch (BasisUpdateVec: 2k floats)
+// require a prior Reserve; sizing up front is what keeps the dispatch itself
+// allocation-free.
 func (p *Pool) Reserve(n int) {
 	if p == nil {
 		return
@@ -165,8 +164,6 @@ func (p *Pool) runSpan(sp span, scratch []float64) {
 		addMulTARowsSpan(p.jDst, p.jA, p.jB, p.jR, sp.lo, sp.hi)
 	case kSyrk:
 		syrkRowsSpan(p.jDst, p.jA, p.jR, sp.lo, sp.hi)
-	case kBasis:
-		basisUpdateSpan(p.jDst, p.jMt, p.jA, p.jB, p.jR, sp.lo, sp.hi, scratch)
 	case kBasisVec:
 		basisUpdateVecSpan(p.jDst, p.jMt, p.jY, p.jYw, sp.lo, sp.hi, scratch)
 	case kCenter:
@@ -284,49 +281,15 @@ func (p *Pool) SyrkRows(dst, a *Dense, r int) {
 	p.dispatch(r, 1)
 }
 
-// BasisUpdate applies the fused in-place rank-c basis update
+// BasisUpdateVec applies the fused in-place rank-one basis update
 //
-//	E ← E·M + Yᵀ·W
+//	E ← E·M + y·ywᵀ
 //
 // row-wise: vecs is the d×k basis E (updated in place), mt the k×k
-// TRANSPOSED map Mᵀ (mt[j][l] = M[l][j]), y the (≥r)×d panel of centered
-// rows, w the (≥r)×k update coefficients. One streaming pass per basis row
-// replaces the Mul + AddMulTARows + CopyFrom triple of the staged update —
-// a third of the d×k memory traffic. Requires Reserve(k+r) scratch.
-//
-//streampca:noalloc
-func (p *Pool) BasisUpdate(vecs, mt, y, w *Dense, r int) {
-	k := vecs.cols
-	if mt.rows != k || mt.cols != k {
-		panic("mat: Pool.BasisUpdate map shape mismatch")
-	}
-	if r < 0 || r > y.rows || r > w.rows || y.cols != vecs.rows || w.cols != k {
-		panic("mat: Pool.BasisUpdate panel shape mismatch")
-	}
-	d := vecs.rows
-	work := d * k * (k + r)
-	if p == nil || p.nw < 2 || work < p.minWork || d < 2*p.nw {
-		var scratch []float64
-		if p != nil && len(p.scratch) > 0 {
-			scratch = p.scratch[0]
-		}
-		if len(scratch) < k+r {
-			panic("mat: Pool.BasisUpdate scratch not reserved")
-		}
-		basisUpdateSpan(vecs, mt, y, w, r, 0, d, scratch)
-		return
-	}
-	p.kind = kBasis
-	p.jDst, p.jMt, p.jA, p.jB = vecs, mt, y, w
-	p.jR = r
-	p.dispatch(d, 1)
-}
-
-// BasisUpdateVec is the rank-one specialization of BasisUpdate: the update
-// panel is a single centered vector y with per-column coefficients yw
-// (E ← E·M + y·ywᵀ). The per-row arithmetic matches the rank-one engine
-// rebuild exactly. Requires Reserve(2k) scratch: the kernel updates basis
-// rows in pairs.
+// TRANSPOSED map Mᵀ (mt[j][l] = M[l][j]), y the centered vector and yw its
+// per-column coefficients. The per-row arithmetic matches the rank-one
+// engine rebuild exactly. Requires Reserve(2k) scratch: the kernel updates
+// basis rows in pairs.
 //
 //streampca:noalloc
 func (p *Pool) BasisUpdateVec(vecs, mt *Dense, y, yw []float64) {

@@ -51,22 +51,20 @@ func TestPoolKernelsForcedParallelism(t *testing.T) {
 		// Serial references from a nil pool (plus explicitly reserved scratch
 		// via a 1-participant pool for the scratch-needing kernels).
 		ser := NewPool(1)
-		ser.Reserve(max(k+r, 2*k))
+		ser.Reserve(2 * k)
 		wantMul := ser.Mul(nil, y, vecs) // r×d · d×k
 		wantAdd := randDense(rng, d, k)
 		addInit := wantAdd.Clone()
 		ser.AddMulTARows(wantAdd, y, w, r)
 		wantSyrk := NewDense(r, r)
 		ser.SyrkRows(wantSyrk, y, r)
-		wantBasis := vecs.Clone()
-		ser.BasisUpdate(wantBasis, mt, y, w, r)
 		wantBasisVec := vecs.Clone()
 		ser.BasisUpdateVec(wantBasisVec, mt, yv, yw)
 		wantY := make([]float64, d)
 		wantCoef := make([]float64, k)
 		wantNy2 := ser.CenterProject(wantY, wantCoef, x, mean, vecs, part)
 
-		poolForcedAll(t, max(k+r, 2*k), func(t *testing.T, p *Pool) {
+		poolForcedAll(t, 2*k, func(t *testing.T, p *Pool) {
 			if got := p.Mul(nil, y, vecs); !bitwiseEqual(got, wantMul) {
 				t.Fatalf("nw=%d d=%d: Pool.Mul differs from serial", p.Workers(), d)
 			}
@@ -79,11 +77,6 @@ func TestPoolKernelsForcedParallelism(t *testing.T) {
 			p.SyrkRows(gotSyrk, y, r)
 			if !bitwiseEqual(gotSyrk, wantSyrk) {
 				t.Fatalf("nw=%d d=%d: Pool.SyrkRows differs from serial", p.Workers(), d)
-			}
-			gotBasis := vecs.Clone()
-			p.BasisUpdate(gotBasis, mt, y, w, r)
-			if !bitwiseEqual(gotBasis, wantBasis) {
-				t.Fatalf("nw=%d d=%d: Pool.BasisUpdate differs from serial", p.Workers(), d)
 			}
 			gotBasisVec := vecs.Clone()
 			p.BasisUpdateVec(gotBasisVec, mt, yv, yw)
@@ -130,24 +123,11 @@ func TestPoolKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(91, 92))
 	d, k, r := 173, 6, 5
 	vecs := randDense(rng, d, k)
-	mt := randDense(rng, k, k)
 	y := randDense(rng, r, d)
-	w := randDense(rng, r, k)
 
 	p := NewPool(3)
 	defer p.Close()
 	p.SetMinWork(0)
-	p.Reserve(k + r)
-
-	// BasisUpdate vs staged E·M + Yᵀ·W with an explicit M = mtᵀ.
-	m := mt.T()
-	want := Mul(nil, vecs, m)
-	AddMulTARows(want, y, w, r)
-	got := vecs.Clone()
-	p.BasisUpdate(got, mt, y, w, r)
-	if !got.EqualApprox(want, 1e-10) {
-		t.Fatalf("BasisUpdate deviates from staged reference")
-	}
 
 	// SyrkRows vs MulBT.
 	wantS := MulBT(nil, y, y)
@@ -214,7 +194,6 @@ func TestPoolZeroAllocs(t *testing.T) {
 			p.Mul(mulDst, y, vecs)
 			p.AddMulTARows(dst, y, w, r)
 			p.SyrkRows(syrk, y, r)
-			p.BasisUpdate(vecs, mt, y, w, r)
 			p.BasisUpdateVec(vecs, mt, yv, yw)
 			p.CenterProject(yOut, coef, x, mean, vecs, part)
 		}); allocs != 0 {

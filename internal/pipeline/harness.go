@@ -92,10 +92,10 @@ type Cluster struct {
 	wg    sync.WaitGroup
 }
 
-// LaunchWorkers spawns n copies of the current executable as wire workers
-// and waits for each to print its ready line. Call Shutdown when done; a
-// cluster whose workers serve a finite session count exits on its own and
-// Shutdown merely reaps it.
+// LaunchWorkers starts n copies of the current executable as wire workers at
+// once, then collects each one's ready line; if any fails, all are killed and
+// reaped. Call Shutdown when done; a cluster whose workers serve a finite
+// session count exits on its own and Shutdown merely reaps it.
 func LaunchWorkers(ctx context.Context, n int, spec WorkerSpec) (*Cluster, error) {
 	bin, err := os.Executable()
 	if err != nil {
@@ -106,20 +106,21 @@ func LaunchWorkers(ctx context.Context, n int, spec WorkerSpec) (*Cluster, error
 		return nil, err
 	}
 	c := &Cluster{}
-	for i := 0; i < n; i++ {
+	outs := make([]io.ReadCloser, n)
+	for i := range outs {
 		cmd := exec.CommandContext(ctx, bin)
 		cmd.Env = append(os.Environ(), WorkerEnv+"="+string(payload))
 		cmd.Stderr = os.Stderr
-		out, err := cmd.StdoutPipe()
+		if outs[i], err = cmd.StdoutPipe(); err == nil {
+			err = cmd.Start()
+		}
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		if err := cmd.Start(); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
 		c.procs = append(c.procs, cmd)
+	}
+	for i, out := range outs {
 		sc := bufio.NewScanner(out)
 		addr := ""
 		for sc.Scan() {

@@ -35,8 +35,8 @@ type Config struct {
 	NumEngines int
 	// Source provides the data; required.
 	Source Source
-	// Split selects the load-balancing policy (default random, as in the
-	// paper).
+	// Split selects the load-balancing policy (default: the paper's seeded
+	// random choice, spilling past full engine queues unless Chaos is set).
 	Split stream.SplitPolicy
 	// Seed seeds the random split.
 	Seed uint64
@@ -288,7 +288,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var tuplesIn int64
 	srcFn := sourceFunc(cfg.Source, engCfg.Dim, batch, cfg.FlushEvery, fpool, pool, &tuplesIn, 0, tuner)
 	src := g.AddSource("source", srcFn)
-	split := g.Add("split", &stream.Split{N: n, Policy: cfg.Split, Seed: cfg.Seed},
+	// Chaos also turns the split's spill-over off: it follows queue depths,
+	// so same-seed runs would differ in what crosses each faulted edge.
+	split := g.Add("split", &stream.Split{N: n, Policy: cfg.Split, Seed: cfg.Seed, NoSpill: chaos != nil},
 		stream.WithBuffer(nodeBuf))
 	if err := g.Connect(src, 0, split, 0); err != nil {
 		return nil, err

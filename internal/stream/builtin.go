@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"time"
 )
@@ -13,7 +14,9 @@ type SplitPolicy int
 const (
 	// SplitRandom sends each tuple to a uniformly random output — the
 	// paper's load balancer ("Each new data tuple is being sent to a random
-	// running PCA engine").
+	// running PCA engine") — but spills it to the output with the most free
+	// queue room when the drawn one is full, so an engine that keeps up takes
+	// what a stalled one cannot. It waits only while every output is full.
 	SplitRandom SplitPolicy = iota
 	// SplitRoundRobin cycles deterministically through the outputs.
 	SplitRoundRobin
@@ -27,11 +30,21 @@ type Split struct {
 	N int
 	// Policy selects the distribution rule (default SplitRandom).
 	Policy SplitPolicy
-	// Seed makes SplitRandom reproducible.
+	// Seed makes SplitRandom's draws reproducible.
 	Seed uint64
+	// NoSpill keeps SplitRandom purely seeded: a full destination queue
+	// blocks the split instead of spilling. Runs that inject faults set it,
+	// so the seed alone decides which messages cross each edge.
+	NoSpill bool
 
 	rng  *rand.Rand
 	next int
+	// Run sets queues to each port's destination queues that a send can
+	// block on (fused and loop ones cannot), sends wake a token after each
+	// read of one and closes done on cancellation; unset, all ports have room.
+	queues map[int][]chan envelope
+	wake   chan struct{}
+	done   <-chan struct{}
 }
 
 // Process implements Operator.
@@ -57,8 +70,41 @@ func (s *Split) Process(_ int, msg Message, emit Emit) {
 			s.rng = rand.New(rand.NewPCG(s.Seed, 0x5917))
 		}
 		port = s.rng.IntN(s.N)
+		if !s.NoSpill && s.room(port) == 0 {
+			port = s.spill(port)
+		}
 	}
 	emit(port, msg)
+}
+
+// room returns the free slots of port's fullest destination queue.
+func (s *Split) room(port int) int {
+	free := math.MaxInt
+	for _, q := range s.queues[port] {
+		free = min(free, cap(q)-len(q))
+	}
+	return free
+}
+
+// spill returns the output with the most free room, waiting while every
+// output is full. A cancelled run gets the drawn port.
+func (s *Split) spill(port int) int {
+	for {
+		best, most := port, 0
+		for p := 0; p < s.N; p++ {
+			if r := s.room(p); r > most {
+				best, most = p, r
+			}
+		}
+		if most > 0 {
+			return best
+		}
+		select {
+		case <-s.wake:
+		case <-s.done:
+			return port
+		}
+	}
 }
 
 // Flush implements Operator.

@@ -35,7 +35,9 @@ type peRuntime struct {
 	failed map[NodeID]bool
 	// eosSeen counts non-loop EOS per node (channel and fused combined).
 	eosSeen map[NodeID]int
-	run     *runtime
+	// wakes get a token on every receive, for the splits sending into in.
+	wakes []chan struct{}
+	run   *runtime
 }
 
 // runtime is the live state of a running graph.
@@ -126,6 +128,21 @@ func (g *Graph) Run(ctx context.Context) error {
 		}
 	}
 
+	for _, n := range g.nodes {
+		s, ok := n.op.(*Split)
+		if !ok {
+			continue
+		}
+		s.queues, s.wake, s.done = make(map[int][]chan envelope), make(chan struct{}, 1), ctx.Done()
+		for port, es := range n.outs {
+			for _, e := range es {
+				if dst := rt.peOf[e.to.id]; !e.loop && dst != rt.peOf[n.id] {
+					s.queues[port] = append(s.queues[port], dst.in)
+					dst.wakes = append(dst.wakes, s.wake)
+				}
+			}
+		}
+	}
 	// Publish the runtime only after the PE maps and queues exist: Revive and
 	// the queue-aware Metrics read rt.peOf/p.in through g.live concurrently.
 	g.mu.Lock()
@@ -211,6 +228,12 @@ func (p *peRuntime) loop() {
 	for p.pendingEOS > 0 {
 		select {
 		case env := <-p.in:
+			for _, w := range p.wakes {
+				select {
+				case w <- struct{}{}:
+				default:
+				}
+			}
 			if env.revive {
 				p.handleRevive(env.to, env.reviveFn)
 				continue

@@ -104,34 +104,89 @@ func TestSplitRoundRobinBalancesExactly(t *testing.T) {
 	}
 }
 
+// TestSplitRandomRoughlyBalances checks the seeded routing draw. Every port
+// reports room, so nothing spills and the counts are the draw's alone; at
+// graph level spill deliberately sends more to whichever sink keeps up.
 func TestSplitRandomRoughlyBalances(t *testing.T) {
-	g := NewGraph()
 	const n = 9000
-	src := g.AddSource("src", intSource(n))
-	sp := g.Add("split", &Split{N: 3, Seed: 42})
-	sinks := make([]*Collect, 3)
-	if err := g.Connect(src, 0, sp, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sinks {
-		sinks[i] = &Collect{}
-		id := g.Add(fmt.Sprintf("sink%d", i), sinks[i])
-		if err := g.Connect(sp, i, id, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	sp := &Split{N: 3, Seed: 42} // outside a graph every port has room
+	counts := make([]int, 3)
+	for i := 0; i < n; i++ {
+		sp.Process(0, int64(i), func(port int, _ Message) { counts[port]++ })
 	}
 	total := 0
-	for i, s := range sinks {
-		total += len(s.Items)
-		if len(s.Items) < n/3-300 || len(s.Items) > n/3+300 {
-			t.Fatalf("sink %d got %d items (unbalanced)", i, len(s.Items))
+	for i, c := range counts {
+		total += c
+		if c < n/3-300 || c > n/3+300 {
+			t.Fatalf("port %d got %d items (unbalanced)", i, c)
 		}
 	}
 	if total != n {
 		t.Fatalf("lost tuples: %d/%d", total, n)
+	}
+}
+
+// TestSplitSpillsPastStalledOutput stalls one of two sinks on its first
+// message: the random split must spill everything the stalled sink's queue
+// cannot hold to the live sink, so the source finishes while the stall is
+// still held.
+func TestSplitSpillsPastStalledOutput(t *testing.T) {
+	const n, buf = 2000, 2
+	g := NewGraph()
+	srcDone := make(chan struct{})
+	src := g.AddSource("src", func(ctx context.Context, emit Emit) error {
+		defer close(srcDone)
+		return intSource(n)(ctx, emit)
+	})
+	sp := g.Add("split", &Split{N: 2, Seed: 42})
+	release := make(chan struct{})
+	var liveN atomic.Int64
+	live := &Collect{OnItem: func(Message) { liveN.Add(1) }}
+	stalled := &Collect{OnItem: func(Message) { <-release }}
+	liveID := g.Add("live", live, WithBuffer(buf))
+	stalledID := g.Add("stalled", stalled, WithBuffer(buf))
+	for _, err := range []error{
+		g.Connect(src, 0, sp, 0), g.Connect(sp, 0, liveID, 0), g.Connect(sp, 1, stalledID, 0),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- g.Run(context.Background()) }()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+			<-ran
+		}
+	}()
+
+	// The stalled sink holds at most one message in Process plus a full
+	// queue; everything else must reach the live sink during the stall.
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-srcDone:
+	case <-deadline:
+		t.Fatal("source blocked behind the stalled output")
+	}
+	for liveN.Load() < n-(1+buf) {
+		select {
+		case <-deadline:
+			t.Fatalf("live sink got %d of at least %d messages during the stall", liveN.Load(), n-(1+buf))
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	released = true
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	if got := len(live.Items) + len(stalled.Items); got != n {
+		t.Fatalf("sinks got %d messages, want %d", got, n)
+	}
+	if len(stalled.Items) == 0 || len(stalled.Items) > 1+buf {
+		t.Fatalf("stalled sink got %d messages, want 1..%d", len(stalled.Items), 1+buf)
 	}
 }
 
